@@ -42,7 +42,8 @@ engine::ExperimentConfig MakeCellConfig(SchedulingStrategy strategy,
 /// arbitrary cell config: when the variable is set, the cell writes
 /// <dir>/<stem>.{prom,jsonl,trace.json,audit.jsonl,timeline.jsonl}.
 /// No-op when unset, keeping the default path unobserved. Used by benches
-/// that build their configs outside MakeCellConfig (e.g. bench_replica).
+/// that build their configs outside MakeCellConfig, or that run several
+/// cells per MakeCellConfig stem (e.g. bench_ab).
 void ApplyObsEnv(engine::ExperimentConfig* config, const std::string& stem);
 
 struct PanelResult {

@@ -1,6 +1,7 @@
 // Component microbenchmarks (google-benchmark): lock manager, routing
-// table/query router, samplers, simulator event loop, and the processing
-// queue. These bound the per-event costs the discrete-event runs pay.
+// migrate, query parser, samplers and the processing queue. These bound
+// the per-event costs the discrete-event runs pay. The event loop and
+// routing lookups are timed by the --json suite below, not here.
 //
 // Besides the normal google-benchmark CLI, the binary has a machine-
 // readable mode for CI perf tracking:
@@ -10,11 +11,12 @@
 //                                     (or `path`)
 //   bench_micro --json --baseline f   additionally compare against a
 //                                     previous JSON and exit non-zero on a
-//                                     >25% throughput regression
+//                                     >25% throughput regression or a
+//                                     gated key missing from `f`
 //
 // The JSON suite times the simulator event loop (drain + steady-state),
-// cancel throughput, and a fast-scale figure panel serially and on
-// min(4, host cores) ParallelRunner threads.
+// cancel throughput, the three routing lookup shapes, and a fast-scale
+// figure panel serially and on min(4, host cores) ParallelRunner threads.
 
 #include <benchmark/benchmark.h>
 
@@ -90,47 +92,6 @@ void BM_DeadlockCheckDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_DeadlockCheckDepth)->Arg(4)->Arg(16)->Arg(64);
 
-void BM_RoutingLookup(benchmark::State& state) {
-  soap::router::RoutingTable rt(500'000);
-  for (uint64_t k = 0; k < 500'000; ++k) {
-    (void)rt.SetPrimary(k, static_cast<uint32_t>(k % 5));
-  }
-  Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rt.GetPrimary(rng.NextUint64(500'000)));
-  }
-}
-BENCHMARK(BM_RoutingLookup);
-
-// The three lookup shapes of the interval table: a pure round-robin range
-// hit (the bulk-load layout — one entry, owner = key % modulus), a point-
-// exception hit (migrated keys living in the overlay), and the legacy
-// dense path (every key SetPrimary'd with no base range, i.e. the
-// all-exception representation the dense table degenerated to).
-void BM_RoutingLookupRangeHit(benchmark::State& state) {
-  soap::router::RoutingTable rt(500'000);
-  (void)rt.AssignRoundRobin(0, 500'000, 5);
-  Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rt.GetPrimary(rng.NextUint64(500'000)));
-  }
-}
-BENCHMARK(BM_RoutingLookupRangeHit);
-
-void BM_RoutingLookupExceptionHit(benchmark::State& state) {
-  soap::router::RoutingTable rt(500'000);
-  (void)rt.AssignRoundRobin(0, 500'000, 5);
-  // Move 50k keys off their round-robin owner: all land in the overlay.
-  for (uint64_t k = 0; k < 500'000; k += 10) {
-    (void)rt.SetPrimary(k, static_cast<uint32_t>((k + 1) % 5));
-  }
-  Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rt.GetPrimary(rng.NextUint64(50'000) * 10));
-  }
-}
-BENCHMARK(BM_RoutingLookupExceptionHit);
-
 void BM_RoutingMigrate(benchmark::State& state) {
   soap::router::RoutingTable rt(500'000);
   for (uint64_t k = 0; k < 500'000; ++k) {
@@ -172,20 +133,6 @@ void BM_PoissonSample(benchmark::State& state) {
 }
 BENCHMARK(BM_PoissonSample)->Arg(20)->Arg(8000);
 
-void BM_SimulatorEventLoop(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    soap::sim::Simulator sim;
-    for (int i = 0; i < 10'000; ++i) {
-      sim.At(i, [] {});
-    }
-    state.ResumeTiming();
-    sim.Run();
-  }
-  state.SetItemsProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(BM_SimulatorEventLoop);
-
 void BM_ProcessingQueuePushPop(benchmark::State& state) {
   soap::cluster::ProcessingQueue q;
   for (auto _ : state) {
@@ -210,8 +157,7 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// ns/event draining a pre-seeded 10k-event queue (the BM_SimulatorEventLoop
-/// shape), median over `reps`.
+/// ns/event draining a pre-seeded 10k-event queue, median over `reps`.
 double MeasureDrainNsPerEvent(int reps) {
   std::vector<double> samples;
   for (int rep = 0; rep < reps; ++rep) {
@@ -269,9 +215,14 @@ double MeasureCancelNs(int reps) {
   return MedianOf(std::move(samples));
 }
 
-/// ns per routing GetPrimary for one of the three table shapes (see the
-/// BM_RoutingLookup* comments), median over `reps`.
+/// The three lookup shapes of the interval table: a pure round-robin range
+/// hit (the bulk-load layout — one entry, owner = key % modulus), a point-
+/// exception hit (migrated keys living in the overlay), and the legacy
+/// dense path (every key SetPrimary'd with no base range, i.e. the
+/// all-exception representation the dense table degenerated to).
 enum class RoutingShape { kRangeHit, kExceptionHit, kDensePath };
+
+/// ns per routing GetPrimary for one table shape, median over `reps`.
 
 double MeasureRoutingLookupNs(RoutingShape shape, int reps) {
   constexpr uint64_t kKeys = 500'000;
@@ -417,7 +368,13 @@ int RunJsonMode(const std::string& out_path, const std::string& baseline) {
   int exit_code = 0;
   for (const Gate& gate : gates) {
     const double was = JsonNumber(base, gate.key);
-    if (was <= 0.0) continue;
+    if (was <= 0.0) {
+      // A gate whose baseline key is missing would never fire.
+      std::printf("# gate %-28s missing from %s  FAIL\n", gate.key,
+                  baseline.c_str());
+      exit_code = 1;
+      continue;
+    }
     const double ratio = gate.current / was;
     std::printf("# gate %-28s %.3gx baseline%s\n", gate.key, ratio,
                 ratio < 0.75 ? "  REGRESSION" : "");

@@ -309,9 +309,10 @@ TEST(PlannerExperimentTest, ClosesTheLoopUnderDrift) {
   EXPECT_GT(adap.planner_stats.txns_observed, 0u);
   EXPECT_GT(adap.planner_stats.ops_emitted, 0u);
   // Whether the online plan BEATS the static one is a performance claim;
-  // bench_adaptive gates it on a full-size grid. Here we only pin down
-  // that the loop actually closed: generations were planned, built and
-  // deployed through the live repartitioner without corrupting state.
+  // `bench_ab --scenario adaptive` gates it on a full-size grid. Here we
+  // only pin down that the loop actually closed: generations were planned,
+  // built and deployed through the live repartitioner without corrupting
+  // state.
 }
 
 TEST(PlannerExperimentTest, PlannerRunIsReproducible) {
