@@ -1,6 +1,8 @@
 #include "src/check/invariants.h"
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 namespace soap::check {
 
@@ -64,19 +66,21 @@ void InvariantEngine::SweepQuiescent(SimTime now) {
   // Ownership, reverse direction: no partition stores a tuple the routing
   // table does not place on it (orphans from a double-deployed migration).
   checks_run_++;
+  // Orphans are reported in ascending key order, independent of the
+  // table's slot layout.
   for (uint32_t p = 0; p < num_nodes; ++p) {
+    std::vector<storage::TupleKey> orphans;
     cluster_->storage(p).table().ForEach([&](const storage::Tuple& tuple) {
-      Result<router::Placement> placement = routing.GetPlacement(tuple.key);
-      bool placed_here = placement.ok() && (placement->primary == p ||
-                                            placement->HasReplicaOn(p));
-      if (!placed_here) {
-        Violate("ownership",
-                "partition " + std::to_string(p) + " stores key " +
-                    std::to_string(tuple.key) +
-                    " the routing table does not place there",
-                now);
-      }
+      if (!routing.IsPlacedOn(tuple.key, p)) orphans.push_back(tuple.key);
     });
+    std::sort(orphans.begin(), orphans.end());
+    for (storage::TupleKey key : orphans) {
+      Violate("ownership",
+              "partition " + std::to_string(p) + " stores key " +
+                  std::to_string(key) +
+                  " the routing table does not place there",
+              now);
+    }
   }
 
   // Lock table drained with the run.

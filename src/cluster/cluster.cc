@@ -13,16 +13,19 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
       router_(&routing_table_) {
   nodes_.reserve(config_.num_nodes);
   storage_.reserve(config_.num_nodes);
-  // Size the hash maps from the config's cardinalities up front: tables see
-  // ~num_keys/num_nodes rows (replication adds slack), and the lock table
-  // sees at most max_inflight concurrent transactions touching a handful of
-  // keys each. Avoids rehash stalls mid-run.
+  // Size the hash tables from the config's cardinalities up front: tables
+  // load ceil(num_keys/num_nodes) rows each, and the lock table sees at
+  // most max_inflight concurrent transactions touching a handful of keys
+  // each. A table that later outgrows its share (migrations in, replicas)
+  // doubles once; reserving slack for that here would double every table
+  // and its checkpoint image.
   // In lazy mode the base stays virtual, so reserving num_keys/num_nodes
-  // buckets would defeat the point; materialised rows grow on demand.
+  // slots would defeat the point; materialised rows grow on demand.
   const size_t rows_per_node =
       config_.num_nodes == 0 || config_.lazy_tables
           ? 0
-          : (static_cast<size_t>(config_.num_keys) / config_.num_nodes) * 2;
+          : (static_cast<size_t>(config_.num_keys) + config_.num_nodes - 1) /
+                config_.num_nodes;
   for (uint32_t i = 0; i < config_.num_nodes; ++i) {
     nodes_.push_back(
         std::make_unique<Node>(sim_, i, config_.workers_per_node));
@@ -73,16 +76,20 @@ Status Cluster::CheckConsistency() const {
   // every placed key — primary or replica — is also stored where routing
   // says, which is what the per-key pass verified.
   for (uint32_t p = 0; p < config_.num_nodes; ++p) {
-    Status status = Status::OK();
+    // Report the smallest offending key, so the message does not depend
+    // on the table's slot layout.
+    bool unrouted = false;
+    storage::TupleKey first_unrouted = 0;
     storage_[p]->table().ForEach([&](const storage::Tuple& tuple) {
-      if (!status.ok()) return;
-      if (!routing_table_.IsPlacedOn(tuple.key, p)) {
-        status = Status::Corruption(
-            "partition " + std::to_string(p) + " stores unrouted key " +
-            std::to_string(tuple.key));
-      }
+      if (routing_table_.IsPlacedOn(tuple.key, p)) return;
+      if (!unrouted || tuple.key < first_unrouted) first_unrouted = tuple.key;
+      unrouted = true;
     });
-    SOAP_RETURN_NOT_OK(status);
+    if (unrouted) {
+      return Status::Corruption("partition " + std::to_string(p) +
+                                " stores unrouted key " +
+                                std::to_string(first_unrouted));
+    }
     const uint64_t placed = routing_table_.CountPrimaries(p) +
                             routing_table_.CountReplicas(p);
     const uint64_t stored = storage_[p]->table().size();

@@ -8,6 +8,16 @@
 
 namespace soap::cluster {
 
+namespace {
+
+#ifdef NDEBUG
+constexpr bool kDebugBuild = false;
+#else
+constexpr bool kDebugBuild = true;
+#endif
+
+}  // namespace
+
 using txn::AbortReason;
 using txn::OpKind;
 using txn::Operation;
@@ -44,6 +54,10 @@ struct TransactionManager::Exec {
   std::unordered_set<uint32_t> applied_partitions;
   /// MVCC snapshot timestamp (execution start); 0 under 2PL.
   SimTime begin_ts = 0;
+  /// RoutingTable::version() when the first write was routed; BeginCommit
+  /// compares it to decide whether any write may have moved since.
+  bool write_routed = false;
+  uint64_t write_routing_version = 0;
 
   void AddParticipant(uint32_t p) {
     if (std::find(participants.begin(), participants.end(), p) ==
@@ -441,6 +455,10 @@ void TransactionManager::RunOp(const ExecPtr& e, size_t op_index) {
       return;
     }
     case OpKind::kWrite: {
+      if (!e->write_routed) {
+        e->write_routed = true;
+        e->write_routing_version = routing.version();
+      }
       Result<router::PartitionId> primary =
           cluster_->router().RouteWrite(op.key);
       const uint32_t p = primary.ok() ? *primary : e->coordinator;
@@ -626,32 +644,41 @@ void TransactionManager::BeginCommit(const ExecPtr& e) {
   // migration can move these tuples anymore — but one may have moved them
   // between query execution and now. Re-resolve each write's partition so
   // the commit applies at the tuple's current home (and joins it to the
-  // participant set).
-  for (Operation& op : txn.ops) {
-    if (op.kind != OpKind::kWrite) continue;
-    if (replica_aware_) {
-      // Synchronous log shipping: every live replica holder of a written
-      // key joins the participant set and applies the write in phase 2,
-      // so copies commit in lockstep with the primary. Down replicas are
-      // skipped — they catch up from the primary on restart.
-      Result<router::Placement> placement =
-          cluster_->routing_table().GetPlacement(op.key);
-      if (placement.ok()) {
-        if (placement->primary != op.source_partition) {
-          op.source_partition = placement->primary;
-          e->AddParticipant(placement->primary);
+  // participant set). Every placement change bumps the routing version:
+  // if it still reads what it did when the first write was routed, every
+  // write was routed against today's table and the pass is skipped.
+  // Replica-aware commits always run it, since it also gathers replica
+  // holders; debug builds always run it and assert it changes nothing.
+  router::RoutingTable& routing = cluster_->routing_table();
+  const bool routing_current =
+      !replica_aware_ &&
+      (!e->write_routed || routing.version() == e->write_routing_version);
+  if (!routing_current || kDebugBuild) {
+    for (Operation& op : txn.ops) {
+      if (op.kind != OpKind::kWrite) continue;
+      if (replica_aware_) {
+        // Synchronous log shipping: every live replica holder of a written
+        // key joins the participant set and applies the write in phase 2,
+        // so copies commit in lockstep with the primary. Down replicas are
+        // skipped — they catch up from the primary on restart.
+        Result<router::Placement> placement = routing.GetPlacement(op.key);
+        if (placement.ok()) {
+          if (placement->primary != op.source_partition) {
+            op.source_partition = placement->primary;
+            e->AddParticipant(placement->primary);
+          }
+          for (router::PartitionId rep : placement->replicas) {
+            if (!cluster_->node(rep).down()) e->AddParticipant(rep);
+          }
         }
-        for (router::PartitionId rep : placement->replicas) {
-          if (!cluster_->node(rep).down()) e->AddParticipant(rep);
-        }
+        continue;
       }
-      continue;
-    }
-    Result<router::PartitionId> primary =
-        cluster_->routing_table().GetPrimary(op.key);
-    if (primary.ok() && *primary != op.source_partition) {
-      op.source_partition = *primary;
-      e->AddParticipant(*primary);
+      Result<router::PartitionId> primary = routing.GetPrimary(op.key);
+      if (primary.ok() && *primary != op.source_partition) {
+        assert(!routing_current && "a write moved without a version bump");
+        op.source_partition = *primary;
+        e->AddParticipant(*primary);
+      }
     }
   }
 
@@ -885,21 +912,21 @@ void TransactionManager::ApplyRoutingUpdates(const ExecPtr& e) {
         break;
       case OpKind::kWrite: {
         // Write-through to any HA replicas so copies stay identical.
-        Result<router::Placement> placement = routing.GetPlacement(op.key);
-        if (placement.ok() && !placement->replicas.empty()) {
-          for (router::PartitionId rep : placement->replicas) {
-            if (replica_aware_) {
-              // Live replicas already applied in their phase 2; down
-              // replicas must not be touched — their divergence is
-              // repaired by the restart catch-up sweep.
-              if (e->applied_partitions.count(rep) > 0) continue;
-              if (cluster_->node(rep).down()) continue;
-            }
-            Status s = cluster_->storage(rep).ApplyUpdate(
-                txn.id, op.key, op.write_value,
-                cluster_->mvcc_enabled() ? sim_->Now() : 0);
-            (void)s;  // replica divergence is surfaced by CheckConsistency
+        const std::vector<router::PartitionId>* replicas =
+            routing.ReplicasOf(op.key);
+        if (replicas == nullptr) break;
+        for (router::PartitionId rep : *replicas) {
+          if (replica_aware_) {
+            // Live replicas already applied in their phase 2; down
+            // replicas must not be touched — their divergence is
+            // repaired by the restart catch-up sweep.
+            if (e->applied_partitions.count(rep) > 0) continue;
+            if (cluster_->node(rep).down()) continue;
           }
+          Status s = cluster_->storage(rep).ApplyUpdate(
+              txn.id, op.key, op.write_value,
+              cluster_->mvcc_enabled() ? sim_->Now() : 0);
+          (void)s;  // replica divergence is surfaced by CheckConsistency
         }
         break;
       }
@@ -1061,10 +1088,9 @@ void TransactionManager::FinishCommit(const ExecPtr& e) {
       if (op.repartition_op_id != 0 || op.kind != OpKind::kWrite) continue;
       has_write = true;
       note_wp(op.source_partition);
-      Result<router::Placement> placement =
-          cluster_->routing_table().GetPlacement(op.key);
-      if (placement.ok()) {
-        for (router::PartitionId rep : placement->replicas) note_wp(rep);
+      if (const std::vector<router::PartitionId>* replicas =
+              cluster_->routing_table().ReplicasOf(op.key)) {
+        for (router::PartitionId rep : *replicas) note_wp(rep);
       }
     }
     if (has_write) {

@@ -46,6 +46,17 @@ Status ExperimentConfig::Validate() const {
   if (workload_options.history_window == 0) {
     return Status::InvalidArgument("history_window must be at least 1");
   }
+  // Every template owns disjoint keys, at least one each (TemplateCatalog
+  // never clamps queries_per_txn below 1), so a keyspace smaller than the
+  // template count cannot be laid out.
+  if (workload_options.spec.num_keys < workload_options.spec.num_templates) {
+    return Status::InvalidArgument(
+        "num_keys " + std::to_string(workload_options.spec.num_keys) +
+        " is below the template count " +
+        std::to_string(workload_options.spec.num_templates) +
+        ": every template needs a key of its own (raise --keys or lower "
+        "--templates)");
+  }
   // Trace machinery: replaying fixes the arrival stream, so configuring
   // drift phases alongside it would silently have no effect.
   if (!workload_options.replay_trace_path.empty() &&

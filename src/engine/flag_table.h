@@ -36,8 +36,9 @@ struct FlagDef {
   /// Subsystem heading the flag is listed under in --help (cluster,
   /// planner, replica, lion, obs, check, ...). Empty rows group under
   /// "general". Assigned by ExperimentFlagTable after the rows are built,
-  /// so row literals stay positional.
-  std::string group;
+  /// so row literals stay positional (the default member initializer is
+  /// what lets them omit it without a missing-initializer warning).
+  std::string group = {};
 };
 
 class FlagTable {

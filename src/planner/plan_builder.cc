@@ -17,7 +17,7 @@ BuiltPlan PlanBuilder::Build(const Clustering& clustering,
     uint32_t target = 0;
     uint64_t heat = 0;
     PlacementKind kind = PlacementKind::kMigrate;
-    repartition::PlacementCost cost;
+    repartition::PlacementCost cost{};
   };
   obs::AuditLog* audit_log =
       audit != nullptr && audit->log != nullptr ? audit->log : nullptr;

@@ -14,6 +14,12 @@
 // returns to its range owner, and migrations at a block range's first or
 // last key split/coalesce the range itself instead of leaving a point
 // entry behind.
+//
+// The exception overlay is the hot lookup path (every routed query probes
+// it), so it is one flat open-addressing FlatMap (src/common/flat_map.h):
+// a probe is one or two cache lines, not a node-based map's chain walk.
+// Replica lists stay in an ordered map, which failover and coherence
+// sweeps iterate in key order.
 
 #ifndef SOAP_ROUTER_ROUTING_TABLE_H_
 #define SOAP_ROUTER_ROUTING_TABLE_H_
@@ -21,11 +27,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/flat_map.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/storage/tuple.h"
@@ -45,7 +51,8 @@ struct Placement {
 };
 
 /// Key -> placement lookup table backed by interval entries with a
-/// point-exception overlay (see file comment). Thread-safe.
+/// point-exception overlay (see file comment). Not thread-safe: each
+/// simulation owns its table and drives it from one thread.
 class RoutingTable {
  public:
   /// Creates a table for keys [0, num_keys) all initially unassigned;
@@ -103,11 +110,10 @@ class RoutingTable {
   std::vector<storage::TupleKey> ReplicatedKeys() const;
 
   /// Visits every replicated key in ascending order with its current
-  /// placement. The table is unlocked while `fn` runs, so the callback
-  /// may mutate the table (promote, drop replicas); keys replicated
-  /// *after* the visited key mid-sweep are still visited, and the
-  /// placement passed is a consistent snapshot taken when its key is
-  /// reached. Replaces materializing ReplicatedKeys() on failover and
+  /// placement. The callback may mutate the table (promote, drop
+  /// replicas); keys replicated *after* the visited key mid-sweep are
+  /// still visited, and the placement passed is a copy taken when its key
+  /// is reached. Replaces materializing ReplicatedKeys() on failover and
   /// coherence sweeps.
   void ForEachReplicated(
       const std::function<void(storage::TupleKey, const Placement&)>& fn)
@@ -126,6 +132,13 @@ class RoutingTable {
   /// Number of non-primary replicas hosted on `partition`. O(1).
   uint64_t CountReplicas(PartitionId partition) const;
 
+  /// The key's non-primary replicas, or nullptr when it has none (or is
+  /// not routed). For callers that need only the replica list — write
+  /// fan-out — this skips the primary lookup GetPlacement makes, and is
+  /// O(1) while the table holds no replicas at all. The pointer is valid
+  /// until the next mutation.
+  const std::vector<PartitionId>* ReplicasOf(storage::TupleKey key) const;
+
   /// Number of keys with at least one non-primary replica.
   uint64_t replicated_key_count() const;
 
@@ -139,9 +152,11 @@ class RoutingTable {
   /// scaling reports. Not an allocator-exact byte count.
   size_t ApproxBytes() const;
 
-  /// Routing-table version, bumped on every mutation (lets caches detect
-  /// staleness).
-  uint64_t version() const;
+  /// Routing-table version, bumped by every mutation (the seven methods
+  /// above that change placement). The transaction manager stamps it when
+  /// a transaction routes its first write and, if it is unchanged at
+  /// commit, skips re-resolving the write set: no placement has moved.
+  uint64_t version() const { return version_; }
 
   /// Opt-in per-key placement epochs for the consistency checker: every
   /// primary-changing mutation (SetPrimary, Migrate, Promote) bumps the
@@ -162,49 +177,48 @@ class RoutingTable {
     uint32_t modulus = 0;       ///< round-robin divisor (round_robin)
   };
 
-  void BumpEpochLocked(storage::TupleKey key) {
+  void BumpEpoch(storage::TupleKey key) {
     if (track_epochs_) ++epochs_[key];
   }
 
   /// The base entry covering `key` (nullptr if uncovered); `start_out`
   /// receives its start key.
-  const BaseRange* FindBaseLocked(storage::TupleKey key,
-                                  storage::TupleKey* start_out) const;
+  const BaseRange* FindBase(storage::TupleKey key,
+                            storage::TupleKey* start_out) const;
   static PartitionId RangeOwner(const BaseRange& range,
                                 storage::TupleKey key) {
     return range.round_robin
                ? static_cast<PartitionId>(key % range.modulus)
                : range.partition;
   }
-  std::optional<PartitionId> BaseOwnerLocked(storage::TupleKey key) const;
-  std::optional<PartitionId> PrimaryLocked(storage::TupleKey key) const;
+  std::optional<PartitionId> BaseOwner(storage::TupleKey key) const;
+  std::optional<PartitionId> PrimaryOf(storage::TupleKey key) const;
 
   /// The primary-placement mutation core: updates the exception overlay
   /// (absorbing where possible), splits/coalesces block ranges at their
   /// boundary keys, and maintains the per-partition primary counters.
-  void SetPrimaryLocked(storage::TupleKey key, PartitionId partition);
+  void ReassignPrimary(storage::TupleKey key, PartitionId partition);
   /// Block-range restructuring for a boundary (or singleton) key; returns
   /// false when the key is interior and must become an exception.
-  bool RestructureBlockLocked(storage::TupleKey start, storage::TupleKey key,
-                              PartitionId partition);
+  bool RestructureBlock(storage::TupleKey start, storage::TupleKey key,
+                        PartitionId partition);
   /// Merges `base_[start]` with equal-owner adjacent block ranges.
-  void CoalesceAroundLocked(storage::TupleKey start);
+  void CoalesceAround(storage::TupleKey start);
 
   void BumpPrimaryCount(PartitionId partition, int64_t delta);
   void BumpReplicaCount(PartitionId partition, int64_t delta);
 
   /// Structural O(ranges + exceptions) recount backing the debug assert
   /// in CountPrimaries.
-  uint64_t RecountPrimariesLocked(PartitionId partition) const;
-  uint64_t RecountReplicasLocked(PartitionId partition) const;
+  uint64_t RecountPrimaries(PartitionId partition) const;
+  uint64_t RecountReplicas(PartitionId partition) const;
 
-  mutable std::mutex mu_;
   uint64_t num_keys_;
   /// Sorted, non-overlapping interval entries, keyed by start.
   std::map<storage::TupleKey, BaseRange> base_;
   /// Keys whose primary differs from their base range (or that have no
-  /// base range at all). Hash-indexed: this is the hot lookup path.
-  std::unordered_map<storage::TupleKey, PartitionId> primary_exc_;
+  /// base range at all). Flat hash table: this is the hot lookup path.
+  FlatMap<PartitionId> primary_exc_;
   /// Replica lists, ordered by key so failover/coherence sweeps iterate
   /// deterministically without materializing + sorting.
   std::map<storage::TupleKey, std::vector<PartitionId>> replicas_;

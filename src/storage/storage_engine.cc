@@ -58,18 +58,23 @@ Status StorageEngine::VerifyRecoveryImage() const {
         std::to_string(recovered.size()) + " tuples, live table has " +
         std::to_string(table_.size()));
   }
-  Status mismatch = Status::OK();
+  // Report the smallest diverging key, so the message does not depend on
+  // the table's slot layout.
+  bool diverged = false;
+  Tuple first;
   table_.ForEach([&](const Tuple& live) {
-    if (!mismatch.ok()) return;
+    if (diverged && live.key >= first.key) return;
     Result<Tuple> replayed = recovered.Get(live.key);
     if (!replayed.ok() || replayed->content != live.content) {
-      mismatch = Status::Corruption(
-          "partition " + std::to_string(partition_id_) + " key " +
-          std::to_string(live.key) + ": recovery image diverges from live " +
-          "table (live content " + std::to_string(live.content) + ")");
+      diverged = true;
+      first = live;
     }
   });
-  return mismatch;
+  if (!diverged) return Status::OK();
+  return Status::Corruption(
+      "partition " + std::to_string(partition_id_) + " key " +
+      std::to_string(first.key) + ": recovery image diverges from live " +
+      "table (live content " + std::to_string(first.content) + ")");
 }
 
 Status StorageEngine::CrashAndRecover() {

@@ -16,8 +16,8 @@ void Table::SetLazyBase(uint64_t num_keys, uint32_t partition,
           : 0;
   // Pre-existing rows and tombstones would double-count; the base must be
   // declared before any data lands.
-  for (const auto& [key, tuple] : rows_) {
-    if (InBase(key)) --virtual_live_;
+  for (const Tuple& tuple : rows_) {
+    if (InBase(tuple.key)) --virtual_live_;
   }
 }
 
@@ -25,10 +25,11 @@ Status Table::Insert(const Tuple& tuple) {
   if (VirtualLive(tuple.key)) {
     return Status::AlreadyExistsTuple(tuple.key);
   }
-  auto [it, inserted] = rows_.emplace(tuple.key, tuple);
+  auto [slot, inserted] = rows_.try_emplace(tuple.key);
   if (!inserted) {
     return Status::AlreadyExistsTuple(tuple.key);
   }
+  *slot = tuple;
   if (lazy_ && InBase(tuple.key)) dead_.erase(tuple.key);
   return Status::OK();
 }
@@ -36,13 +37,12 @@ Status Table::Insert(const Tuple& tuple) {
 void Table::Upsert(const Tuple& tuple) {
   if (VirtualLive(tuple.key)) --virtual_live_;
   if (lazy_ && InBase(tuple.key)) dead_.erase(tuple.key);
-  rows_[tuple.key] = tuple;
+  *rows_.try_emplace(tuple.key).first = tuple;
 }
 
 Result<Tuple> Table::Get(TupleKey key) const {
-  auto it = rows_.find(key);
-  if (it != rows_.end()) {
-    return it->second;
+  if (const Tuple* row = rows_.find(key)) {
+    return *row;
   }
   if (VirtualLive(key)) {
     return SynthesizeRow(key);
@@ -51,22 +51,23 @@ Result<Tuple> Table::Get(TupleKey key) const {
 }
 
 Status Table::Update(TupleKey key, int64_t content) {
-  auto it = rows_.find(key);
-  if (it == rows_.end()) {
+  Tuple* row = rows_.find(key);
+  if (row == nullptr) {
     if (!VirtualLive(key)) {
       return Status::NotFoundTuple(key);
     }
     // First write to a virtual base row: materialise, then update.
     --virtual_live_;
-    it = rows_.emplace(key, SynthesizeRow(key)).first;
+    row = rows_.try_emplace(key).first;
+    *row = SynthesizeRow(key);
   }
-  it->second.content = content;
-  it->second.version++;
+  row->content = content;
+  row->version++;
   return Status::OK();
 }
 
 Status Table::Erase(TupleKey key) {
-  if (rows_.erase(key) > 0) {
+  if (rows_.erase(key)) {
     if (lazy_ && InBase(key)) dead_.insert(key);
     return Status::OK();
   }

@@ -1,12 +1,17 @@
 // Hash-indexed in-memory table: the per-partition tuple store.
+//
+// Representation: one FlatTable<Tuple> (src/common/flat_map.h). A tuple
+// carries its own key, so each 24-byte slot is the row itself: a point
+// read or commit-time update is one probe into a flat array, with no
+// per-row allocation. A checkpoint image is one array copy.
 
 #ifndef SOAP_STORAGE_TABLE_H_
 #define SOAP_STORAGE_TABLE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "src/common/flat_map.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/storage/tuple.h"
@@ -25,8 +30,8 @@ namespace soap::storage {
 /// and ForEach behave exactly as if the base had been bulk-loaded.
 class Table {
  public:
-  /// Pre-sizes the hash index for an expected row count, so bulk loads and
-  /// steady-state stores never rehash mid-run.
+  /// Pre-sizes the slot array for an expected row count, so bulk loads
+  /// never rehash. Growth past it doubles the array once.
   void Reserve(size_t expected_rows) { rows_.reserve(expected_rows); }
 
   /// Declares the virtual seed base (call once, on an empty table). Keys
@@ -53,33 +58,32 @@ class Table {
   Status Erase(TupleKey key);
 
   bool Contains(TupleKey key) const {
-    return rows_.count(key) > 0 || VirtualLive(key);
+    return rows_.contains(key) || VirtualLive(key);
   }
   size_t size() const { return rows_.size() + virtual_live_; }
 
   /// Materialised rows only (excludes the virtual base), for reports.
   size_t materialized_size() const { return rows_.size(); }
 
-  /// Rough heap footprint of the materialised state, for scaling reports.
+  /// Rough heap footprint of the materialised state, for scaling reports:
+  /// every allocated slot, used or not, plus the lazy-mode tombstones.
   size_t ApproxBytes() const {
     constexpr size_t kHashNodeOverhead = 2 * sizeof(void*);
-    return sizeof(*this) +
-           rows_.size() * (sizeof(TupleKey) + sizeof(Tuple) +
-                           kHashNodeOverhead) +
-           rows_.bucket_count() * sizeof(void*) +
+    return sizeof(*this) + rows_.capacity() * sizeof(Tuple) +
            dead_.size() * (sizeof(TupleKey) + kHashNodeOverhead) +
            dead_.bucket_count() * sizeof(void*);
   }
 
-  /// Calls `fn(tuple)` for every row (iteration order unspecified).
-  /// Virtual base rows are synthesised on the fly.
+  /// Calls `fn(tuple)` for every row. Iteration order is unspecified and
+  /// depends on the slot layout: callers whose output depends on it must
+  /// order by key. Virtual base rows are synthesised on the fly.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& [key, tuple] : rows_) fn(tuple);
+    for (const Tuple& tuple : rows_) fn(tuple);
     if (!lazy_ || virtual_live_ == 0) return;
     for (TupleKey key = base_partition_; key < base_num_keys_;
          key += base_stride_) {
-      if (rows_.count(key) > 0 || dead_.count(key) > 0) continue;
+      if (rows_.contains(key) || dead_.count(key) > 0) continue;
       fn(SynthesizeRow(key));
     }
   }
@@ -93,7 +97,7 @@ class Table {
   }
   /// True while `key` is present only virtually.
   bool VirtualLive(TupleKey key) const {
-    return InBase(key) && rows_.count(key) == 0 && dead_.count(key) == 0;
+    return InBase(key) && !rows_.contains(key) && dead_.count(key) == 0;
   }
   static Tuple SynthesizeRow(TupleKey key) {
     Tuple t;
@@ -103,7 +107,7 @@ class Table {
     return t;
   }
 
-  std::unordered_map<TupleKey, Tuple> rows_;
+  FlatTable<Tuple> rows_;
 
   // Lazy-base state (inert unless SetLazyBase was called).
   bool lazy_ = false;

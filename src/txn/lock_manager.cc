@@ -6,7 +6,6 @@
 namespace soap::txn {
 
 void LockManager::Reserve(size_t expected_keys, size_t expected_txns) {
-  std::unique_lock<std::mutex> guard(mu_);
   table_.reserve(expected_keys);
   held_.reserve(expected_txns);
   waiting_on_.reserve(expected_txns);
@@ -42,13 +41,12 @@ bool LockManager::Compatible(const Entry& entry, TxnId txn, LockMode mode) {
 
 AcquireOutcome LockManager::Acquire(TxnId txn, storage::TupleKey key,
                                     LockMode mode, GrantCallback on_grant) {
-  std::unique_lock<std::mutex> guard(mu_);
   stats_.acquires++;
   if (m_acquires_) m_acquires_->Increment();
   assert(waiting_on_.find(txn) == waiting_on_.end() &&
          "a transaction may wait for at most one lock at a time");
 
-  Entry& entry = table_[key];
+  Entry& entry = table_.try_emplace(key).first->value;
 
   // Already holding?
   for (Holder& h : entry.holders) {
@@ -72,7 +70,8 @@ AcquireOutcome LockManager::Acquire(TxnId txn, storage::TupleKey key,
     }
     // Upgrades go to the front of the queue: the holder blocks everyone
     // behind it anyway, and front placement avoids upgrade starvation.
-    entry.waiters.push_front(
+    entry.waiters.insert(
+        entry.waiters.begin(),
         Waiter{txn, LockMode::kExclusive, /*is_upgrade=*/true,
                std::move(on_grant)});
     waiting_on_[txn] = key;
@@ -129,7 +128,7 @@ void LockManager::GrantWaiters(storage::TupleKey key, Entry& entry,
     }
     waiting_on_.erase(w.txn);
     callbacks->push_back(std::move(w.on_grant));
-    entry.waiters.pop_front();
+    entry.waiters.erase(entry.waiters.begin());
   }
   if (m_waiting_txns_) m_waiting_txns_->Set(static_cast<double>(waiting_on_.size()));
 }
@@ -137,10 +136,9 @@ void LockManager::GrantWaiters(storage::TupleKey key, Entry& entry,
 void LockManager::Release(TxnId txn, storage::TupleKey key) {
   std::vector<GrantCallback> callbacks;
   {
-    std::unique_lock<std::mutex> guard(mu_);
-    auto it = table_.find(key);
-    if (it == table_.end()) return;
-    Entry& entry = it->second;
+    auto* slot = table_.find(key);
+    if (slot == nullptr) return;
+    Entry& entry = slot->value;
     entry.holders.erase(
         std::remove_if(entry.holders.begin(), entry.holders.end(),
                        [txn](const Holder& h) { return h.txn == txn; }),
@@ -152,7 +150,7 @@ void LockManager::Release(TxnId txn, storage::TupleKey key) {
       if (keys.empty()) held_.erase(held_it);
     }
     GrantWaiters(key, entry, &callbacks);
-    if (entry.holders.empty() && entry.waiters.empty()) table_.erase(it);
+    if (entry.holders.empty() && entry.waiters.empty()) table_.erase(slot);
   }
   for (auto& cb : callbacks) cb();
 }
@@ -160,12 +158,12 @@ void LockManager::Release(TxnId txn, storage::TupleKey key) {
 void LockManager::ReleaseAll(TxnId txn) {
   std::vector<GrantCallback> callbacks;
   {
-    std::unique_lock<std::mutex> guard(mu_);
     // Drop a pending wait first.
     auto wait_it = waiting_on_.find(txn);
     if (wait_it != waiting_on_.end()) {
       const storage::TupleKey key = wait_it->second;
-      Entry& entry = table_[key];
+      auto* slot = table_.try_emplace(key).first;
+      Entry& entry = slot->value;
       entry.waiters.erase(
           std::remove_if(entry.waiters.begin(), entry.waiters.end(),
                          [txn](const Waiter& w) { return w.txn == txn; }),
@@ -174,7 +172,7 @@ void LockManager::ReleaseAll(TxnId txn) {
       stats_.cancelled_waits++;
       if (m_cancelled_waits_) m_cancelled_waits_->Increment();
       GrantWaiters(key, entry, &callbacks);
-      if (entry.holders.empty() && entry.waiters.empty()) table_.erase(key);
+      if (entry.holders.empty() && entry.waiters.empty()) table_.erase(slot);
     }
     // Then every held lock.
     auto held_it = held_.find(txn);
@@ -182,15 +180,15 @@ void LockManager::ReleaseAll(TxnId txn) {
       std::vector<storage::TupleKey> keys = std::move(held_it->second);
       held_.erase(held_it);
       for (storage::TupleKey key : keys) {
-        auto it = table_.find(key);
-        if (it == table_.end()) continue;
-        Entry& entry = it->second;
+        auto* slot = table_.find(key);
+        if (slot == nullptr) continue;
+        Entry& entry = slot->value;
         entry.holders.erase(
             std::remove_if(entry.holders.begin(), entry.holders.end(),
                            [txn](const Holder& h) { return h.txn == txn; }),
             entry.holders.end());
         GrantWaiters(key, entry, &callbacks);
-        if (entry.holders.empty() && entry.waiters.empty()) table_.erase(it);
+        if (entry.holders.empty() && entry.waiters.empty()) table_.erase(slot);
       }
     }
   }
@@ -201,11 +199,11 @@ bool LockManager::CancelWait(TxnId txn) {
   std::vector<GrantCallback> callbacks;
   bool cancelled = false;
   {
-    std::unique_lock<std::mutex> guard(mu_);
     auto wait_it = waiting_on_.find(txn);
     if (wait_it == waiting_on_.end()) return false;
     const storage::TupleKey key = wait_it->second;
-    Entry& entry = table_[key];
+    auto* slot = table_.try_emplace(key).first;
+    Entry& entry = slot->value;
     const size_t before = entry.waiters.size();
     entry.waiters.erase(
         std::remove_if(entry.waiters.begin(), entry.waiters.end(),
@@ -217,7 +215,7 @@ bool LockManager::CancelWait(TxnId txn) {
     if (m_cancelled_waits_) m_cancelled_waits_->Increment();
     // Removing a blocking waiter at the front may unblock those behind it.
     GrantWaiters(key, entry, &callbacks);
-    if (entry.holders.empty() && entry.waiters.empty()) table_.erase(key);
+    if (entry.holders.empty() && entry.waiters.empty()) table_.erase(slot);
   }
   for (auto& cb : callbacks) cb();
   return cancelled;
@@ -231,9 +229,9 @@ bool LockManager::WouldDeadlock(TxnId txn, storage::TupleKey key) const {
   std::vector<TxnId> stack;
   std::unordered_map<TxnId, bool> visited;
   auto push_holders = [&](storage::TupleKey k, TxnId exclude) {
-    auto it = table_.find(k);
-    if (it == table_.end()) return;
-    for (const Holder& h : it->second.holders) {
+    const auto* slot = table_.find(k);
+    if (slot == nullptr) return;
+    for (const Holder& h : slot->value.holders) {
       if (h.txn == exclude) continue;
       if (!visited[h.txn]) {
         visited[h.txn] = true;
@@ -264,10 +262,9 @@ void LockManager::RecordHold(TxnId txn, storage::TupleKey key,
 
 bool LockManager::Holds(TxnId txn, storage::TupleKey key,
                         LockMode mode) const {
-  std::unique_lock<std::mutex> guard(mu_);
-  auto it = table_.find(key);
-  if (it == table_.end()) return false;
-  for (const Holder& h : it->second.holders) {
+  const auto* slot = table_.find(key);
+  if (slot == nullptr) return false;
+  for (const Holder& h : slot->value.holders) {
     if (h.txn != txn) continue;
     return mode == LockMode::kShared || h.mode == LockMode::kExclusive;
   }
@@ -275,16 +272,14 @@ bool LockManager::Holds(TxnId txn, storage::TupleKey key,
 }
 
 size_t LockManager::WaiterCount(storage::TupleKey key) const {
-  std::unique_lock<std::mutex> guard(mu_);
-  auto it = table_.find(key);
-  return it == table_.end() ? 0 : it->second.waiters.size();
+  const auto* slot = table_.find(key);
+  return slot == nullptr ? 0 : slot->value.waiters.size();
 }
 
 size_t LockManager::LockedKeyCount() const {
-  std::unique_lock<std::mutex> guard(mu_);
   size_t count = 0;
-  for (const auto& [key, entry] : table_) {
-    if (!entry.holders.empty()) ++count;
+  for (const auto& slot : table_) {
+    if (!slot.value.holders.empty()) ++count;
   }
   return count;
 }

@@ -6,18 +6,22 @@
 //
 // Tuple keys are globally unique and partitions hold disjoint key ranges,
 // so one logical lock table is semantically identical to one table per
-// node; a real deployment would shard this class by node (it is
-// thread-safe), and the cluster layer records per-node contention stats.
+// node; a real deployment would shard this class by node, and the cluster
+// layer records per-node contention stats.
+//
+// The per-key entries live in one flat open-addressing FlatMap
+// (src/common/flat_map.h), and an entry's wait queue is a vector, which
+// allocates nothing while empty: waits are rare (a few per hundred
+// acquires), so most entries never touch the heap beyond their holder.
 
 #ifndef SOAP_TXN_LOCK_MANAGER_H_
 #define SOAP_TXN_LOCK_MANAGER_H_
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/flat_map.h"
 #include "src/obs/metrics.h"
 #include "src/sim/inline_fn.h"
 #include "src/storage/tuple.h"
@@ -44,8 +48,8 @@ struct LockStats {
   uint64_t cancelled_waits = 0;
 };
 
-/// The lock table. Thread-safe; within the simulator it is driven from the
-/// single event-loop thread.
+/// The lock table. Not thread-safe: each simulation owns one and drives it
+/// from its single event-loop thread.
 class LockManager {
  public:
   /// Invoked when a queued request is granted. The callback runs inside
@@ -111,7 +115,8 @@ class LockManager {
   };
   struct Entry {
     std::vector<Holder> holders;
-    std::deque<Waiter> waiters;
+    /// FIFO; upgrades enter at the front.
+    std::vector<Waiter> waiters;
   };
 
   /// True if `mode` can be granted on `entry` right now for `txn`
@@ -129,8 +134,7 @@ class LockManager {
 
   void RecordHold(TxnId txn, storage::TupleKey key, LockMode mode);
 
-  mutable std::mutex mu_;
-  std::unordered_map<storage::TupleKey, Entry> table_;
+  FlatMap<Entry> table_;
   /// Keys each transaction holds (for ReleaseAll).
   std::unordered_map<TxnId, std::vector<storage::TupleKey>> held_;
   /// The single key each blocked transaction is waiting on.

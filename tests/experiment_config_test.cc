@@ -53,6 +53,13 @@ INSTANTIATE_TEST_SUITE_P(
                      c->workload_options.history_window = 0;
                    },
                    "history_window"},
+        // Fewer keys than templates used to overflow TemplateCatalog's
+        // key permutation; the message names both numbers.
+        RejectCase{"keys_below_template_count",
+                   [](ExperimentConfig* c) {
+                     c->workload_options.spec.num_keys = 20'000;
+                   },
+                   "num_keys 20000 is below the template count 23457"},
         RejectCase{"replay_with_drift_phases",
                    [](ExperimentConfig* c) {
                      c->workload_options.replay_trace_path = "/tmp/t.trace";

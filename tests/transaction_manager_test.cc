@@ -274,6 +274,54 @@ TEST_F(TmTest, MigrationBlocksConcurrentWriterUntilCommit) {
   EXPECT_TRUE(cluster_.CheckConsistency().ok());
 }
 
+TEST_F(TmTest, MigrationBetweenWriteRoutingAndCommitMovesTheWrite) {
+  // The write to key 0 is routed to partition 0 when it executes (t=1ms,
+  // after the 1ms begin job); the two reads keep the transaction running
+  // until t=10ms, when it takes its commit locks. At t=5ms key 0 migrates
+  // to partition 1 outside any transaction. The commit must re-resolve the
+  // write (the routing version moved) and apply it at the new home.
+  tm_.Submit(MakeTxn({Write(0, 777), Read(3), Read(6)}));
+  bool migrated = false;
+  sim_.After(Millis(5), [&]() {
+    EXPECT_TRUE(completed_.empty());
+    ASSERT_TRUE(cluster_.routing_table().Migrate(0, 0, 1).ok());
+    cluster_.storage(1).BulkLoad(*cluster_.storage(0).Read(0));
+    cluster_.storage(0).BulkEvict(0);
+    migrated = true;
+  });
+  sim_.Run();
+  ASSERT_TRUE(migrated);
+  ASSERT_EQ(completed_.size(), 1u);
+  EXPECT_TRUE(completed_[0].committed());
+  EXPECT_EQ(completed_[0].ops[0].source_partition, 1u);
+  EXPECT_EQ(cluster_.storage(1).Read(0)->content, 777);
+  EXPECT_FALSE(cluster_.storage(0).Contains(0));
+  EXPECT_TRUE(cluster_.CheckConsistency().ok());
+}
+
+TEST_F(TmTest, WriteThroughReachesEveryReplica) {
+  // Key 0 (primary on partition 0) has replicas on partitions 1 and 2;
+  // key 3 has none. Write-through must update both copies of key 0, and
+  // the write counts as distributed because it fans out.
+  for (uint32_t p : {1u, 2u}) {
+    ASSERT_TRUE(cluster_.routing_table().AddReplica(0, p).ok());
+    cluster_.storage(p).BulkLoad(*cluster_.storage(0).Read(0));
+  }
+  ASSERT_EQ(cluster_.routing_table().replicated_key_count(), 1u);
+  tm_.Submit(MakeTxn({Write(0, 555), Write(3, 9)}));
+  sim_.Run();
+  ASSERT_EQ(completed_.size(), 1u);
+  EXPECT_TRUE(completed_[0].committed());
+  for (uint32_t p : {0u, 1u, 2u}) {
+    EXPECT_EQ(cluster_.storage(p).Read(0)->content, 555) << "partition " << p;
+  }
+  EXPECT_EQ(cluster_.storage(0).Read(3)->content, 9);
+  EXPECT_FALSE(cluster_.storage(1).Contains(3));
+  EXPECT_EQ(tm_.counters().committed_normal_with_writes, 1u);
+  EXPECT_EQ(tm_.counters().committed_normal_distributed_writes, 1u);
+  EXPECT_TRUE(cluster_.CheckConsistency().ok());
+}
+
 TEST_F(TmTest, LowPriorityWaitsForIdle) {
   // Keep the system busy with normal work, then submit a low-priority
   // repartition transaction: it must only run once the normal work has
