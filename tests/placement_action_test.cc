@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -34,6 +35,11 @@ struct SpellingCase {
   PlacementKind new_spelling;
   const char* text;
 };
+
+// gtest's default printer dumps the struct's bytes, pointers and padding
+// included, into the listed test name, so the name changed from run to run;
+// print the case name instead.
+void PrintTo(const SpellingCase& c, std::ostream* os) { *os << c.name; }
 
 class SpellingTest : public ::testing::TestWithParam<SpellingCase> {};
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace soap::router {
 namespace {
 
@@ -76,6 +78,11 @@ struct InvalidCase {
   const char* name;
   const char* sql;
 };
+
+// gtest's default printer dumps the struct's bytes, pointers included, into
+// the listed test name, so the name changed from run to run; print the case
+// name instead.
+void PrintTo(const InvalidCase& c, std::ostream* os) { *os << c.name; }
 
 class InvalidQueries : public ::testing::TestWithParam<InvalidCase> {};
 
